@@ -278,7 +278,9 @@ impl BottomKSample {
                 "sample claims {n} entries for k = {k}"
             )));
         }
-        let mut entries = Vec::with_capacity(n);
+        // `n` is a wire count: reserve no more than the bytes left can
+        // hold (24 per entry), so a forged count cannot abort on alloc.
+        let mut entries = Vec::with_capacity(n.min(dec.remaining() / 24));
         for _ in 0..n {
             let rank = dec.take_f64()?;
             let key = dec.take_u64()?;
@@ -1102,6 +1104,25 @@ mod tests {
                 "truncation at {cut} slipped through"
             );
         }
+    }
+
+    /// Regression: a 19-byte payload claiming `k = n = 2^48` entries
+    /// used to preallocate `n` entries before reading any and abort the
+    /// process; it must decode to a typed error.
+    #[test]
+    fn wire_decode_rejects_a_forged_entry_count_without_allocating_it() {
+        let mut enc = Enc::new();
+        enc.put_u8(WIRE_VERSION);
+        enc.put_u8(0);
+        enc.put_len(1 << 48);
+        enc.put_u8(0);
+        enc.put_len(1 << 48);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 19);
+        assert!(matches!(
+            BottomKSample::decode(&mut Dec::new(&bytes)),
+            Err(monotone_core::Error::Encoding(_))
+        ));
     }
 
     #[test]

@@ -29,31 +29,43 @@
 //! blow-up the stage exists to avoid, while skipping costs little recall
 //! because coordinated similar instances have correlated empty patterns.
 //!
-//! [`BandIndex`] is deterministic by construction — buckets are ordered
-//! maps and every query output is sorted — so candidate sets are
-//! byte-identical regardless of insertion order, store shard count, or
-//! worker geometry. The index also keeps each inserted instance's
-//! registered `(band, hash)` signature resident, which is what makes it
-//! **live**: re-inserting an id first unregisters its old signature
-//! (only the bands whose hash actually changed are touched — `O(bands)`
-//! per update), so an index owned by an ingesting store stays equal to a
-//! from-scratch rebuild at every point in time.
+//! [`BandIndex`] is deterministic by construction even though it is
+//! built on hash tables: every bucket keeps its ids sorted, and every
+//! query output is sorted — walks that need an order sort the ids they
+//! visit instead of inheriting one from a table — so candidate sets and
+//! wire bytes are identical regardless of insertion order, store shard
+//! count, or worker geometry. The index also keeps each inserted
+//! instance's registered `(band, hash)` signature resident, which is
+//! what makes it **live**: re-inserting an id first unregisters its old
+//! signature (only the bands whose hash actually changed are touched —
+//! `O(bands)` per update), so an index owned by an ingesting store stays
+//! equal to a from-scratch rebuild at every point in time.
 //!
 //! # Cost model
 //!
 //! Building is `O(k + bands)` hashing per instance (one rank-ordered
 //! walk over the sketch; [`band_hashes_into`] reuses caller scratch so
-//! the build hot loop allocates nothing per instance). Pair extraction
-//! is `Σ |bucket|²` over buckets — the LSH contract is that buckets stay
-//! small because dissimilar instances rarely share a band. Feeding the
-//! index signatures that collide en masse (e.g. one duplicated instance
-//! a thousand times) degrades gracefully toward the quadratic worst
-//! case, it does not fail. Crucially, extraction **streams**:
-//! [`BandIndex::for_each_candidate_block`] walks instances in ascending
-//! id order, sort-merging each instance's bucket memberships into a
-//! per-id run of deduplicated partners, and hands the caller fixed-size
-//! blocks of globally sorted pairs — peak memory is `O(block + largest
-//! per-id candidate set)`, never `O(total pairs)`.
+//! the build hot loop allocates nothing per instance), plus one expected
+//! `O(1)` table probe per indexable band. Most buckets of a large pool
+//! hold a single id, which lives inline in its table slot; only a shared
+//! bucket allocates, and registering into it is a sorted insert, `O(1)`
+//! amortized when ids arrive ascending (as in a shard's partial build)
+//! and `O(|bucket|)` otherwise. [`BandIndex::merged`] sizes each band's
+//! table once and moves the parts' buckets in, reallocating only a
+//! bucket whose ids span several parts.
+//!
+//! Pair extraction is `Σ |bucket|²` over buckets — the LSH contract is
+//! that buckets stay small because dissimilar instances rarely share a
+//! band. Feeding the index signatures that collide en masse (e.g. one
+//! duplicated instance a thousand times) degrades gracefully toward the
+//! quadratic worst case, it does not fail. Crucially, extraction
+//! **streams**: [`BandIndex::for_each_candidate_block`] walks the shared
+//! buckets once, never probing a table, and visits in ascending id
+//! order only the ids that share a bucket with a larger id. It merges
+//! each one's bucket members above it into a per-id run of deduplicated
+//! partners and hands the caller fixed-size blocks of globally sorted
+//! pairs — peak memory is `O(block + shared-bucket memberships +
+//! largest per-id candidate set)`, never `O(total pairs)`.
 //! [`BandIndex::candidate_pairs`] is the collect-everything convenience
 //! wrapper over the same walk.
 //!
@@ -97,7 +109,9 @@
 //! # Ok::<(), monotone_core::Error>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::seed::splitmix64;
@@ -224,32 +238,155 @@ pub fn band_hashes(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<Option<u64>>
     out
 }
 
+/// `splitmix64` as a [`Hasher`] for the index's `u64` table keys. Band
+/// hashes are already uniform, but instance ids are not (they are often
+/// dense ranges), so every key is mixed once before it picks a slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mix(u64);
+
+impl Hasher for Mix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
+}
+
+/// A hash table keyed by band hash or instance id.
+type Table<V> = HashMap<u64, V, BuildHasherDefault<Mix>>;
+
+/// The ids registered under one `(band, hash)`, ascending. A bucket of
+/// one — the common case in a large pool — stores its id inline in the
+/// table slot; only a shared bucket allocates.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(u64),
+    /// Two or more ids, strictly ascending.
+    Many(Vec<u64>),
+}
+
+impl Bucket {
+    fn ids(&self) -> &[u64] {
+        match self {
+            Bucket::One(id) => std::slice::from_ref(id),
+            Bucket::Many(ids) => ids,
+        }
+    }
+
+    /// Adds `id`, which must not be in the bucket yet.
+    fn add(&mut self, id: u64) {
+        match self {
+            Bucket::One(x) => *self = Bucket::Many(vec![id.min(*x), id.max(*x)]),
+            Bucket::Many(ids) => ids.insert(ids.partition_point(|&y| y < id), id),
+        }
+    }
+
+    /// Takes in the ids of `other`, a bucket with no id in common.
+    fn absorb(&mut self, other: Bucket) {
+        let mut ids = match std::mem::replace(self, Bucket::One(0)) {
+            Bucket::One(x) => vec![x],
+            Bucket::Many(ids) => ids,
+        };
+        ids.extend_from_slice(other.ids());
+        ids.sort_unstable();
+        *self = Bucket::Many(ids);
+    }
+}
+
+/// Registers `id` under `hash` in one band's table.
+fn register(table: &mut Table<Bucket>, hash: u64, id: u64) {
+    match table.entry(hash) {
+        Entry::Vacant(e) => {
+            e.insert(Bucket::One(id));
+        }
+        Entry::Occupied(mut e) => e.get_mut().add(id),
+    }
+}
+
+/// Unregisters `id` from `hash` in one band's table, dropping the
+/// bucket when it empties and inlining it again when one id is left.
+fn unregister(table: &mut Table<Bucket>, hash: u64, id: u64) {
+    let bucket = table
+        .get_mut(&hash)
+        .expect("registered signature hash has a bucket");
+    match bucket {
+        Bucket::One(x) => {
+            assert_eq!(*x, id, "registered id is in its bucket");
+            table.remove(&hash);
+        }
+        Bucket::Many(ids) => {
+            let at = ids
+                .binary_search(&id)
+                .expect("registered id is in its bucket");
+            ids.remove(at);
+            if ids.len() == 1 {
+                *bucket = Bucket::One(ids[0]);
+            }
+        }
+    }
+}
+
+/// Fills `out` with the sorted, deduplicated union of `buckets` (each
+/// sorted ascending), keeping only ids above `floor` when one is given.
+/// The ids above `floor` are a suffix of each bucket found by binary
+/// search, and a single contributing bucket needs no sort at all.
+fn union_above(buckets: &[&[u64]], floor: Option<u64>, out: &mut Vec<u64>) {
+    out.clear();
+    let mut runs = 0;
+    for &ids in buckets {
+        let ids = match floor {
+            Some(a) => &ids[ids.partition_point(|&b| b <= a)..],
+            None => ids,
+        };
+        if !ids.is_empty() {
+            runs += 1;
+            out.extend_from_slice(ids);
+        }
+    }
+    if runs > 1 {
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
 /// An inverted index from band hashes to instance ids: the candidate
 /// stage of the all-pairs similarity join.
 ///
 /// Two inserted instances are *candidates* when at least one band hash
-/// matches. The index is deterministic: buckets are ordered maps and
-/// every output is sorted, so [`BandIndex::candidate_pairs`],
-/// [`BandIndex::for_each_candidate_block`], and
-/// [`BandIndex::candidates_of`] are byte-identical for any insertion
-/// order (and hence any store shard count or ingest thread schedule).
+/// matches. Each band is one flat hash table from band hash to a bucket
+/// of ids; a single-id bucket is stored inline and a shared one holds
+/// its ids in a sorted vector. A second table maps each id to its
+/// signature. The index is deterministic: buckets stay sorted and every
+/// output is sorted, so [`BandIndex::candidate_pairs`],
+/// [`BandIndex::for_each_candidate_block`],
+/// [`BandIndex::candidates_of`], [`BandIndex::ids`], and the wire bytes
+/// of [`BandIndex::encode_into`] are identical for any insertion order
+/// (and hence any store shard count or ingest thread schedule).
 ///
 /// Each id's registered `(band, hash)` signature stays resident, so the
 /// index supports **incremental maintenance**: [`BandIndex::insert`] is
 /// remove-then-insert (re-registering an id touches only the bands
 /// whose hash changed), [`BandIndex::remove`] unregisters an id
 /// entirely, and [`BandIndex::candidates_of_id`] answers probes for
-/// resident ids off the cache in `O(bands)` bucket lookups. See the
-/// [module docs](self) for the extraction cost model.
+/// resident ids off the cache in `O(bands)` bucket lookups. The bulk
+/// build and the live index share this one layout. See the
+/// [module docs](self) for the cost model.
 #[derive(Debug, Clone, Default)]
 pub struct BandIndex {
     cfg: Option<BandConfig>,
-    /// One ordered bucket map per band: band hash → inserted ids.
-    buckets: Vec<BTreeMap<u64, Vec<u64>>>,
+    /// One table per band: band hash → the ids registered under it.
+    buckets: Vec<Table<Bucket>>,
     /// id → the `(band, hash)` pairs it is registered under, ascending
-    /// by band: the indexable part of its signature. Ordered so
-    /// [`BandIndex::for_each_candidate_block`] walks ids ascending.
-    signatures: BTreeMap<u64, Box<[(u32, u64)]>>,
+    /// by band: the indexable part of its signature.
+    signatures: Table<Box<[(u32, u64)]>>,
     /// Reused hashing scratch (never observable through the API).
     slot_scratch: Vec<Option<u64>>,
     band_scratch: Vec<Option<u64>>,
@@ -260,8 +397,8 @@ impl BandIndex {
     pub fn new(cfg: BandConfig) -> BandIndex {
         BandIndex {
             cfg: Some(cfg),
-            buckets: vec![BTreeMap::new(); cfg.bands()],
-            signatures: BTreeMap::new(),
+            buckets: vec![Table::default(); cfg.bands()],
+            signatures: Table::default(),
             slot_scratch: Vec::new(),
             band_scratch: Vec::new(),
         }
@@ -289,7 +426,18 @@ impl BandIndex {
 
     /// The distinct inserted ids, ascending.
     pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.signatures.keys().copied()
+        self.by_id().into_iter().map(|(id, _)| id)
+    }
+
+    /// Every `(id, signature)`, ascending by id.
+    fn by_id(&self) -> Vec<(u64, &[(u32, u64)])> {
+        let mut all: Vec<(u64, &[(u32, u64)])> = self
+            .signatures
+            .iter()
+            .map(|(&id, sig)| (id, &**sig))
+            .collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        all
     }
 
     /// The `(band, hash)` pairs `id` is registered under (ascending by
@@ -308,50 +456,51 @@ impl BandIndex {
     /// This is the live-maintenance primitive: an index updated on every
     /// sketch change stays identical to a from-scratch rebuild.
     pub fn insert(&mut self, id: u64, sketch: &BottomKSample) {
-        let cfg = *self.config();
-        // Move the scratch out so hashing can borrow it while `self`
-        // stays mutable for registration below.
-        let mut slots = std::mem::take(&mut self.slot_scratch);
-        let mut bands = std::mem::take(&mut self.band_scratch);
-        band_hashes_into(sketch, &cfg, &mut slots, &mut bands);
-        let new: Box<[(u32, u64)]> = bands
-            .iter()
-            .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
-            .collect();
-        self.slot_scratch = slots;
-        self.band_scratch = bands;
-
-        let old = self.signatures.remove(&id).unwrap_or_default();
+        let new = self.signature_of(sketch);
+        let buckets = &mut self.buckets;
+        let slot = self.signatures.entry(id).or_default();
+        let old = std::mem::replace(slot, new);
+        let new = &**slot;
         // Band-ascending merge of the old and new signatures: unregister
         // stale hashes, register fresh ones, skip unchanged bands.
         let (mut i, mut j) = (0, 0);
         while i < old.len() || j < new.len() {
             match (old.get(i), new.get(j)) {
                 (Some(&(ob, oh)), Some(&(nb, _))) if ob < nb => {
-                    self.unregister(ob, oh, id);
+                    unregister(&mut buckets[ob as usize], oh, id);
                     i += 1;
                 }
                 (Some(&(ob, oh)), Some(&(nb, nh))) if ob == nb => {
                     if oh != nh {
-                        self.unregister(ob, oh, id);
-                        self.register(nb, nh, id);
+                        unregister(&mut buckets[ob as usize], oh, id);
+                        register(&mut buckets[nb as usize], nh, id);
                     }
                     i += 1;
                     j += 1;
                 }
                 (_, Some(&(nb, nh))) => {
-                    self.register(nb, nh, id);
+                    register(&mut buckets[nb as usize], nh, id);
                     j += 1;
                 }
                 (Some(&(ob, oh)), None) => {
-                    self.unregister(ob, oh, id);
+                    unregister(&mut buckets[ob as usize], oh, id);
                     i += 1;
                 }
                 (None, None) => unreachable!("loop condition"),
             }
         }
-        self.signatures.insert(id, new);
+    }
+
+    /// The indexable `(band, hash)` pairs of `sketch` under this index's
+    /// config, ascending by band.
+    fn signature_of(&mut self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
+        let cfg = *self.config();
+        band_hashes_into(sketch, &cfg, &mut self.slot_scratch, &mut self.band_scratch);
+        self.band_scratch
+            .iter()
+            .enumerate()
+            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
+            .collect()
     }
 
     /// Unregisters `id` entirely; returns whether it was present.
@@ -360,63 +509,58 @@ impl BandIndex {
             None => false,
             Some(sig) => {
                 for &(band, hash) in sig.iter() {
-                    self.unregister(band, hash, id);
+                    unregister(&mut self.buckets[band as usize], hash, id);
                 }
                 true
             }
         }
     }
 
-    fn register(&mut self, band: u32, hash: u64, id: u64) {
-        self.buckets[band as usize]
-            .entry(hash)
-            .or_default()
-            .push(id);
-    }
-
-    fn unregister(&mut self, band: u32, hash: u64, id: u64) {
-        let bucket = &mut self.buckets[band as usize];
-        let ids = bucket
-            .get_mut(&hash)
-            .expect("registered signature hash has a bucket");
-        let pos = ids
-            .iter()
-            .position(|&x| x == id)
-            .expect("registered id is in its bucket");
-        ids.remove(pos);
-        if ids.is_empty() {
-            bucket.remove(&hash);
-        }
-    }
-
     /// Merges per-worker partial indexes (the parallel blocked build)
-    /// into one, in order. The result is interchangeable with inserting
-    /// every instance into a single index: buckets and signatures are
-    /// the unions, and all sorted query outputs are bit-identical.
+    /// into one. The result is interchangeable with inserting every
+    /// instance into a single index: buckets and signatures are the
+    /// unions, and all sorted query outputs are bit-identical.
+    ///
+    /// Band by band, the merged table is sized once for every part's
+    /// buckets, and each part's table is moved in and freed before the
+    /// next band: buckets found in one part only move without
+    /// reallocating.
     ///
     /// # Panics
     ///
     /// Panics if a part was built under a different `BandConfig`, or if
     /// two parts contain the same instance id (parts must partition the
     /// instances).
-    pub fn merged(cfg: BandConfig, parts: Vec<BandIndex>) -> BandIndex {
-        let mut out = BandIndex::new(cfg);
-        for part in parts {
+    pub fn merged(cfg: BandConfig, mut parts: Vec<BandIndex>) -> BandIndex {
+        for part in &parts {
             assert_eq!(
                 part.cfg,
                 Some(cfg),
                 "merged parts must share one band config"
             );
-            for (band, bucket) in part.buckets.into_iter().enumerate() {
-                for (hash, ids) in bucket {
-                    out.buckets[band].entry(hash).or_default().extend(ids);
-                }
-            }
-            for (id, sig) in part.signatures {
+        }
+        let mut out = BandIndex::new(cfg);
+        out.signatures
+            .reserve(parts.iter().map(BandIndex::len).sum());
+        for part in &mut parts {
+            for (id, sig) in std::mem::take(&mut part.signatures) {
                 assert!(
                     out.signatures.insert(id, sig).is_none(),
                     "merged parts must hold disjoint ids (id {id} duplicated)"
                 );
+            }
+        }
+        for (band, table) in out.buckets.iter_mut().enumerate() {
+            table.reserve(parts.iter().map(|p| p.buckets[band].len()).sum());
+            for part in &mut parts {
+                for (hash, bucket) in std::mem::take(&mut part.buckets[band]) {
+                    match table.entry(hash) {
+                        Entry::Vacant(e) => {
+                            e.insert(bucket);
+                        }
+                        Entry::Occupied(mut e) => e.get_mut().absorb(bucket),
+                    }
+                }
             }
         }
         out
@@ -428,17 +572,12 @@ impl BandIndex {
     /// band) has no candidates.
     pub fn candidates_of(&self, sketch: &BottomKSample) -> Vec<u64> {
         let cfg = *self.config();
-        let mut out: Vec<u64> = band_hashes(sketch, &cfg)
+        let sig: Vec<(u32, u64)> = band_hashes(sketch, &cfg)
             .into_iter()
             .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band, h)))
-            .filter_map(|(band, h)| self.buckets[band].get(&h))
-            .flatten()
-            .copied()
+            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
             .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.candidates_of_signature(&sig)
     }
 
     /// [`candidates_of`](BandIndex::candidates_of) for an id already in
@@ -463,14 +602,13 @@ impl BandIndex {
     /// config contribute nothing (a probe from a mismatched config
     /// finds no buckets, it does not panic).
     pub fn candidates_of_signature(&self, sig: &[(u32, u64)]) -> Vec<u64> {
-        let mut out: Vec<u64> = sig
+        let buckets: Vec<&[u64]> = sig
             .iter()
             .filter_map(|&(band, h)| self.buckets.get(band as usize)?.get(&h))
-            .flatten()
-            .copied()
+            .map(Bucket::ids)
             .collect();
-        out.sort_unstable();
-        out.dedup();
+        let mut out = Vec::new();
+        union_above(&buckets, None, &mut out);
         out
     }
 
@@ -480,32 +618,44 @@ impl BandIndex {
     /// be smaller; a block can overshoot by one instance's partner run).
     /// Concatenating the blocks yields exactly
     /// [`candidate_pairs`](BandIndex::candidate_pairs), but peak memory
-    /// is `O(block + largest per-id candidate set)` instead of
-    /// `O(total pairs)` — the verification stage of a 10⁶-instance join
-    /// consumes the stream without ever materializing the pair set.
+    /// is `O(block + shared-bucket memberships + largest per-id
+    /// candidate set)` instead of `O(total pairs)` — the verification
+    /// stage of a 10⁶-instance join consumes the stream without ever
+    /// materializing the pair set.
     ///
-    /// The walk is id-major: for each inserted id `a` in ascending
-    /// order, the members of `a`'s buckets above `a` are collected,
-    /// sorted, and deduplicated into `a`'s partner run. Every colliding
-    /// pair is seen from both sides, so emitting only the `b > a` side
-    /// yields each pair exactly once, already in global order.
+    /// The walk is id-major and touches shared buckets only: every
+    /// `(id, bucket)` membership with a larger id in the bucket is
+    /// collected once and sorted by id; for each such `a` in ascending
+    /// order, the members of `a`'s shared buckets above `a` are merged
+    /// into `a`'s deduplicated partner run. Every colliding pair is seen
+    /// from its smaller side only, so each pair is emitted exactly once,
+    /// already in global order.
     ///
     /// # Panics
     ///
     /// Panics if `block == 0`.
     pub fn for_each_candidate_block<F: FnMut(&[(u64, u64)])>(&self, block: usize, mut f: F) {
         assert!(block > 0, "blocked extraction needs a positive block size");
+        // A bucket's largest id has no partner above it in that bucket.
+        let mut memberships: Vec<(u64, &[u64])> = self
+            .buckets
+            .iter()
+            .flat_map(Table::values)
+            .filter_map(|bucket| match bucket {
+                Bucket::One(_) => None,
+                Bucket::Many(ids) => Some(&ids[..]),
+            })
+            .flat_map(|ids| ids[..ids.len() - 1].iter().map(move |&a| (a, ids)))
+            .collect();
+        memberships.sort_unstable_by_key(|&(a, _)| a);
         let mut buf: Vec<(u64, u64)> = Vec::with_capacity(block.min(1 << 16));
+        let mut shared: Vec<&[u64]> = Vec::new();
         let mut partners: Vec<u64> = Vec::new();
-        for (&a, sig) in &self.signatures {
-            partners.clear();
-            for &(band, h) in sig.iter() {
-                if let Some(ids) = self.buckets[band as usize].get(&h) {
-                    partners.extend(ids.iter().copied().filter(|&b| b > a));
-                }
-            }
-            partners.sort_unstable();
-            partners.dedup();
+        for run in memberships.chunk_by(|x, y| x.0 == y.0) {
+            let a = run[0].0;
+            shared.clear();
+            shared.extend(run.iter().map(|&(_, ids)| ids));
+            union_above(&shared, Some(a), &mut partners);
             buf.extend(partners.iter().map(|&b| (a, b)));
             if buf.len() >= block {
                 f(&buf);
@@ -531,9 +681,9 @@ impl BandIndex {
 
     /// Appends this index's stable, versioned wire form to `out` — how a
     /// remote shard ships a build partial to the router. Only the config
-    /// and the per-id signatures travel; the bucket maps are derived
-    /// state and are rebuilt on decode, so sender and receiver cannot
-    /// disagree about bucket contents.
+    /// and the per-id signatures travel, ascending by id; the bucket
+    /// tables are derived state and are rebuilt on decode, so sender and
+    /// receiver cannot disagree about bucket contents.
     pub fn encode_into(&self, out: &mut monotone_coord::wire::Enc) {
         let cfg = self.config();
         out.put_u8(WIRE_VERSION);
@@ -541,10 +691,10 @@ impl BandIndex {
         out.put_len(cfg.rows());
         out.put_u64(cfg.salt());
         out.put_len(self.signatures.len());
-        for (id, sig) in &self.signatures {
-            out.put_u64(*id);
+        for (id, sig) in self.by_id() {
+            out.put_u64(id);
             out.put_len(sig.len());
-            for &(band, hash) in sig.iter() {
+            for &(band, hash) in sig {
                 out.put_u32(band);
                 out.put_u64(hash);
             }
@@ -554,7 +704,8 @@ impl BandIndex {
     /// Decodes one index from `dec`, re-registering every id under its
     /// signature. The result is interchangeable with the encoded index:
     /// signatures are bit-identical and every sorted query output
-    /// matches.
+    /// matches. Capacity reserved from a wire count is bounded by the
+    /// bytes actually left to decode.
     ///
     /// # Errors
     ///
@@ -580,6 +731,8 @@ impl BandIndex {
         }
         let mut index = BandIndex::new(BandConfig::new(bands, rows, salt));
         let n = dec.take_len()?;
+        // Each id costs at least its id and signature length on the wire.
+        index.signatures.reserve(n.min(dec.remaining() / 16));
         for _ in 0..n {
             let id = dec.take_u64()?;
             let sig_len = dec.take_len()?;
@@ -588,7 +741,8 @@ impl BandIndex {
                     "signature of {sig_len} bands exceeds the {bands}-band config"
                 )));
             }
-            let mut sig = Vec::with_capacity(sig_len);
+            // Each entry is a u32 band and a u64 hash.
+            let mut sig = Vec::with_capacity(sig_len.min(dec.remaining() / 12));
             for _ in 0..sig_len {
                 let band = dec.take_u32()?;
                 let hash = dec.take_u64()?;
@@ -604,13 +758,13 @@ impl BandIndex {
                 }
                 sig.push((band, hash));
             }
-            let sig: Box<[(u32, u64)]> = sig.into();
-            for &(band, hash) in sig.iter() {
-                index.register(band, hash, id);
-            }
-            if index.signatures.insert(id, sig).is_some() {
+            let Entry::Vacant(slot) = index.signatures.entry(id) else {
                 return Err(Error::Encoding(format!("id {id} encoded twice")));
+            };
+            for &(band, hash) in &sig {
+                register(&mut index.buckets[band as usize], hash, id);
             }
+            slot.insert(sig.into());
         }
         Ok(index)
     }
@@ -975,6 +1129,17 @@ mod tests {
                 "truncation at {cut} slipped through"
             );
         }
+
+        // A forged id count is not reserved up front: it fails on the
+        // missing ids instead of aborting on the allocation.
+        let mut forged = Enc::new();
+        forged.put_u8(WIRE_VERSION);
+        forged.put_len(4);
+        forged.put_len(1);
+        forged.put_u64(3);
+        forged.put_len(1 << 48);
+        let forged = forged.into_bytes();
+        assert!(BandIndex::decode(&mut Dec::new(&forged)).is_err());
     }
 
     #[test]

@@ -778,11 +778,13 @@ mod tests {
             store.ingest(id, id * 3, 1.0).unwrap();
             store.ingest(id, id * 3 + 1, 2.0).unwrap();
         }
+        let build_started = Arc::new(AtomicBool::new(false));
         let build_done = Arc::new(AtomicBool::new(false));
         let builder = {
             let store = Arc::clone(&store);
-            let build_done = Arc::clone(&build_done);
+            let (build_started, build_done) = (Arc::clone(&build_started), Arc::clone(&build_done));
             std::thread::spawn(move || {
+                build_started.store(true, Ordering::SeqCst);
                 let index = store
                     .band_index(&banding::BandConfig::new(8, 2, 5))
                     .unwrap();
@@ -790,23 +792,23 @@ mod tests {
                 index
             })
         };
+        while !build_started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // Count only ingests that both start after the builder signalled
+        // its start and complete before it signals its end.
         let mut during = 0u64;
         let mut key = 0u64;
         while !build_done.load(Ordering::SeqCst) {
             store.ingest(1_000_000, key, 1.0).unwrap();
             key += 1;
-            during += 1;
+            if !build_done.load(Ordering::SeqCst) {
+                during += 1;
+            }
         }
         let index = builder.join().expect("builder thread");
         assert!(index.len() >= 30_000);
-        // The loop observed build_done false at least once before each
-        // ingest, so every counted ingest completed while the build was
-        // in flight. (If the build finished before the loop's first
-        // check this stays 0 — that's a scheduling fluke, not a stall.)
-        assert!(
-            during > 0 || index.len() >= 30_000,
-            "ingest made no progress during the build"
-        );
+        assert!(during > 0, "ingest made no progress during the build");
     }
 
     #[test]

@@ -254,7 +254,9 @@ impl ShardBackend for LocalShard {
     fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
         // Snapshot under the lock (a cheap stream clone — no hashing
         // inside the critical section), hash after release, so
-        // concurrent ingest never stalls behind a resident build.
+        // concurrent ingest never stalls behind a resident build. The
+        // snapshot is owned, so each stream is consumed into its sample
+        // rather than cloned a second time.
         let mut snaps: Vec<(u64, BottomKStream)> = {
             let state = self.lock();
             state
@@ -265,8 +267,8 @@ impl ShardBackend for LocalShard {
         };
         snaps.sort_unstable_by_key(|&(id, _)| id);
         let mut part = BandIndex::new(*cfg);
-        for (id, stream) in &snaps {
-            part.insert(*id, &stream.sample());
+        for (id, stream) in snaps {
+            part.insert(id, &stream.into_sample());
         }
         Ok(part)
     }

@@ -15,10 +15,20 @@
 //!    bit-identical whatever the store shard count or sketch insertion
 //!    order — the property that lets the `allpairs` scenario promise
 //!    byte-identical CSVs at every shard/worker geometry.
+//! 3. **Reference model**: after any sequence of inserts, re-inserts,
+//!    and removes, every output equals brute force over the resident
+//!    signatures (two ids are candidates when they share a
+//!    `(band, hash)`), and the wire bytes do not depend on the order the
+//!    ids were inserted in. Unlike 1 and 2, this leg does not compare
+//!    one index with another, so a defect in the bucket tables cannot
+//!    cancel out.
+
+use std::collections::BTreeMap;
 
 use monotone_coord::bottomk::{BottomK, BottomKSample, RankMethod};
 use monotone_coord::instance::Instance;
 use monotone_coord::seed::SeedHasher;
+use monotone_coord::wire::Enc;
 use monotone_engine::Engine;
 use monotone_store::banding::{band_hashes, BandConfig, BandIndex};
 use monotone_store::SketchStore;
@@ -56,8 +66,96 @@ fn exact_sketch(inst: &Instance, salt: u64) -> BottomKSample {
     BottomK::new(inst.len(), RankMethod::Priority, SeedHasher::new(salt)).sample_instance(inst)
 }
 
+/// The indexable `(band, hash)` pairs of `sketch`, ascending by band:
+/// the signature the model expects the index to hold.
+fn model_signature(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<(u32, u64)> {
+    band_hashes(sketch, cfg)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
+        .collect()
+}
+
+/// Brute force: the ascending ids whose signature shares an entry with
+/// `sig`.
+fn brute_candidates(model: &BTreeMap<u64, Vec<(u32, u64)>>, sig: &[(u32, u64)]) -> Vec<u64> {
+    model
+        .iter()
+        .filter(|(_, other)| other.iter().any(|e| sig.contains(e)))
+        .map(|(&id, _)| id)
+        .collect()
+}
+
+fn wire_bytes(index: &BandIndex) -> Vec<u8> {
+    let mut enc = Enc::new();
+    index.encode_into(&mut enc);
+    enc.into_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48).with_rng_seed(0x2014_0615_0008))]
+
+    /// Random insert / re-insert / remove sequences against a brute-force
+    /// model over the signatures. A palette of overlapping key windows
+    /// under 1-row bands makes shared buckets common, and a one-key
+    /// instance fills one band only, so singleton, shared, emptied, and
+    /// re-inlined buckets all occur.
+    #[test]
+    fn index_matches_a_brute_force_model_after_random_updates(
+        // (op: 0-6 insert, 7-9 remove; id; palette entry)
+        ops in proptest::collection::vec((0u8..10, 0u64..16, 0usize..8), 1..80),
+        salt in any::<u64>(),
+        band_salt in any::<u64>(),
+    ) {
+        let cfg = BandConfig::new(8, 1, band_salt);
+        let palette: Vec<BottomKSample> = (0..8u64)
+            .map(|v| {
+                let keys: Vec<u64> = if v == 7 { vec![3] } else { (v * 5..v * 5 + 20).collect() };
+                exact_sketch(&Instance::from_pairs(keys.into_iter().map(|k| (k, 1.0))), salt)
+            })
+            .collect();
+        let mut index = BandIndex::new(cfg);
+        let mut model: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
+        let mut resident: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(op, id, v) in &ops {
+            if op < 7 {
+                index.insert(id, &palette[v]);
+                model.insert(id, model_signature(&palette[v], &cfg));
+                resident.insert(id, v);
+            } else {
+                prop_assert_eq!(index.remove(id), model.remove(&id).is_some());
+                resident.remove(&id);
+            }
+        }
+
+        prop_assert_eq!(index.len(), model.len());
+        prop_assert_eq!(index.ids().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+        let mut pairs = Vec::new();
+        for (&a, sig) in &model {
+            prop_assert_eq!(index.signature(a), Some(&sig[..]), "id={}", a);
+            prop_assert_eq!(index.candidates_of_signature(sig), brute_candidates(&model, sig));
+            pairs.extend(brute_candidates(&model, sig).into_iter().filter(|&b| b > a).map(|b| (a, b)));
+        }
+        prop_assert_eq!(index.candidate_pairs(), pairs);
+        for sketch in &palette {
+            let sig = model_signature(sketch, &cfg);
+            prop_assert_eq!(index.candidates_of(sketch), brute_candidates(&model, &sig));
+        }
+
+        // Two insertion orders of the final residents, and the index the
+        // updates left behind, encode to the same bytes.
+        let mut forward = BandIndex::new(cfg);
+        let mut backward = BandIndex::new(cfg);
+        for (&id, &v) in &resident {
+            forward.insert(id, &palette[v]);
+        }
+        for (&id, &v) in resident.iter().rev() {
+            backward.insert(id, &palette[v]);
+        }
+        let bytes = wire_bytes(&forward);
+        prop_assert_eq!(wire_bytes(&backward), bytes.clone());
+        prop_assert_eq!(wire_bytes(&index), bytes);
+    }
 
     /// Recall-1 regime: candidates ⊇ all pairs with J ≥ 0.5, well above
     /// the 24×2 config's 0.204 threshold.
