@@ -241,7 +241,7 @@ pub fn band_hashes(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<Option<u64>>
 /// `splitmix64` as a [`Hasher`] for the index's `u64` table keys. Band
 /// hashes are already uniform, but instance ids are not (they are often
 /// dense ranges), so every key is mixed once before it picks a slot.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 struct Mix(u64);
 
 impl Hasher for Mix {
@@ -338,10 +338,14 @@ fn unregister(table: &mut Table<Bucket>, hash: u64, id: u64) {
 /// sorted ascending), keeping only ids above `floor` when one is given.
 /// The ids above `floor` are a suffix of each bucket found by binary
 /// search, and a single contributing bucket needs no sort at all.
-fn union_above(buckets: &[&[u64]], floor: Option<u64>, out: &mut Vec<u64>) {
+fn union_above<'a>(
+    buckets: impl IntoIterator<Item = &'a [u64]>,
+    floor: Option<u64>,
+    out: &mut Vec<u64>,
+) {
     out.clear();
     let mut runs = 0;
-    for &ids in buckets {
+    for ids in buckets {
         let ids = match floor {
             Some(a) => &ids[ids.partition_point(|&b| b <= a)..],
             None => ids,
@@ -602,13 +606,12 @@ impl BandIndex {
     /// config contribute nothing (a probe from a mismatched config
     /// finds no buckets, it does not panic).
     pub fn candidates_of_signature(&self, sig: &[(u32, u64)]) -> Vec<u64> {
-        let buckets: Vec<&[u64]> = sig
+        let buckets = sig
             .iter()
             .filter_map(|&(band, h)| self.buckets.get(band as usize)?.get(&h))
-            .map(Bucket::ids)
-            .collect();
+            .map(Bucket::ids);
         let mut out = Vec::new();
-        union_above(&buckets, None, &mut out);
+        union_above(buckets, None, &mut out);
         out
     }
 
@@ -649,13 +652,10 @@ impl BandIndex {
             .collect();
         memberships.sort_unstable_by_key(|&(a, _)| a);
         let mut buf: Vec<(u64, u64)> = Vec::with_capacity(block.min(1 << 16));
-        let mut shared: Vec<&[u64]> = Vec::new();
         let mut partners: Vec<u64> = Vec::new();
         for run in memberships.chunk_by(|x, y| x.0 == y.0) {
             let a = run[0].0;
-            shared.clear();
-            shared.extend(run.iter().map(|&(_, ids)| ids));
-            union_above(&shared, Some(a), &mut partners);
+            union_above(run.iter().map(|&(_, ids)| ids), Some(a), &mut partners);
             buf.extend(partners.iter().map(|&b| (a, b)));
             if buf.len() >= block {
                 f(&buf);
