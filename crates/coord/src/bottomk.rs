@@ -134,6 +134,12 @@ impl BottomKSample {
         self.entries.iter().map(|&(_, k, w)| (k, w))
     }
 
+    /// Iterates `(rank, key)` of retained items, ascending by
+    /// `(rank, key)`.
+    pub fn ranked(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.entries.iter().map(|&(r, k, _)| (r, k))
+    }
+
     /// The conditioned rank threshold for `key`: the k-th smallest rank
     /// among the *other* items (`+∞` when fewer than `k` others exist).
     /// An item is included iff its own rank is strictly below this.
@@ -425,6 +431,28 @@ impl BottomKStream {
     /// True before any active observation arrived.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// Iterates `(rank, key)` of the entries a [`sample`] snapshot would
+    /// retain, in arbitrary order and without building one: the heap
+    /// minus its `(k+1)`-th threshold entry. No clone, no sort — the
+    /// path for callers that derive a key-order-free summary of the
+    /// retained set (a band signature, say) under a lock.
+    ///
+    /// [`sample`]: BottomKStream::sample
+    pub fn retained(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let mut threshold = self.heap.peek().filter(|_| self.heap.len() > self.k);
+        self.heap
+            .iter()
+            .filter(move |&e| {
+                // Skip one copy of the threshold entry only.
+                let skip = threshold == Some(e);
+                if skip {
+                    threshold = None;
+                }
+                !skip
+            })
+            .map(|e| (e.rank, e.key))
     }
 
     /// Snapshots the current sample without consuming the stream (live
@@ -987,6 +1015,38 @@ mod tests {
         let mut exp = BottomK::new(2, RankMethod::Exponential, seeder).stream();
         assert!(!exp.insert(seeder.key_for_raw(u64::MAX), 2.0));
         assert!(exp.is_empty());
+    }
+
+    #[test]
+    fn retained_is_the_sample_entries_in_any_order() {
+        let seeder = SeedHasher::new(5);
+        let sampler = BottomK::new(4, RankMethod::Priority, seeder);
+        let mut stream = sampler.stream();
+        let sorted = |s: &BottomKStream| {
+            let mut got: Vec<(f64, u64)> = s.retained().collect();
+            got.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            got
+        };
+        assert_eq!(sorted(&stream), vec![]);
+        // Two keys with one seed tie on rank at equal weight; the key
+        // breaks the tie exactly as the sample's sort does.
+        let tied = [
+            seeder.key_for_raw(1 << 40),
+            seeder.key_for_raw((1 << 40) | 1),
+        ];
+        for (i, key) in tied.into_iter().chain(0..30).enumerate() {
+            stream.insert(key, if i < 2 { 9.0 } else { 1.0 + (key % 3) as f64 });
+            let want: Vec<(f64, u64)> = stream.sample().ranked().collect();
+            assert_eq!(sorted(&stream), want, "after {} inserts", i + 1);
+        }
+        // Re-streaming one observation duplicates its entry: one copy of
+        // the threshold entry is skipped, never both.
+        let mut dup = sampler.stream();
+        for _ in 0..6 {
+            dup.insert(7, 1.0);
+        }
+        assert_eq!(sorted(&dup), dup.sample().ranked().collect::<Vec<_>>());
+        assert_eq!(dup.retained().count(), 4);
     }
 
     #[test]

@@ -43,16 +43,27 @@
 //!
 //! # Cost model
 //!
-//! Building is `O(k + bands)` hashing per instance (one rank-ordered
-//! walk over the sketch; [`band_hashes_into`] reuses caller scratch so
-//! the build hot loop allocates nothing per instance), plus one expected
-//! `O(1)` table probe per indexable band. Most buckets of a large pool
-//! hold a single id, which lives inline in its table slot; only a shared
-//! bucket allocates, and registering into it is a sorted insert, `O(1)`
-//! amortized when ids arrive ascending (as in a shard's partial build)
-//! and `O(|bucket|)` otherwise. [`BandIndex::merged`] sizes each band's
-//! table once and moves the parts' buckets in, reallocating only a
-//! bucket whose ids span several parts.
+//! A signature costs `O(retained + bands·rows)` hashing per instance.
+//! Each retained `(rank, key)` entry claims its slot when it beats the
+//! slot's current minimum, so the entries may come in any order: one
+//! core ([`band_hashes_ranked_into`]) hashes a finished sample in rank
+//! order ([`band_hashes_into`]) and a live stream's heap as it lies,
+//! with reused scratch and no allocation per instance but the
+//! signature itself.
+//!
+//! A bulk build is signatures first, tables once
+//! ([`BandIndex::from_signatures_with`]): the `(id, signature)` list is
+//! sorted by id, each engine worker fills the tables of its own group
+//! of bands — each table sized up front from a count of its entries,
+//! one expected `O(1)` probe per indexable band — and the id →
+//! signature table takes the signatures by move. Most buckets of a
+//! large pool hold a single id, which lives inline in its table slot;
+//! only a shared bucket allocates, and because ids arrive ascending
+//! every insert into it is an append. [`BandIndex::merged`] and
+//! [`BandIndex::decode`] collect signatures and call the same builder.
+//! Live maintenance ([`BandIndex::insert`], [`BandIndex::remove`])
+//! touches only the bands whose hash changed; a live insert into a
+//! shared bucket is a sorted insert, `O(|bucket|)`.
 //!
 //! Pair extraction is `Σ |bucket|²` over buckets — the LSH contract is
 //! that buckets stay small because dissimilar instances rarely share a
@@ -115,6 +126,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::seed::splitmix64;
+use monotone_coord::wire::{Dec, Enc};
+use monotone_core::Error;
+use monotone_engine::{chunk_bounds, Engine};
 
 /// Shape of a banding signature: `bands` bands of `rows` slots each,
 /// under a slot-hash `salt`.
@@ -183,7 +197,15 @@ impl BandConfig {
     /// The slot a key feeds, a pure function of `(salt, key)` — shared
     /// by every instance, which is what makes slot values comparable.
     fn slot(&self, key: u64) -> usize {
-        (splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA)) % self.slots() as u64) as usize
+        let h = splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA));
+        let n = self.slots() as u64;
+        // The same value as `h % n`, without a division when n is a
+        // power of two (as in the 16×2 join configs).
+        (if n.is_power_of_two() {
+            h & (n - 1)
+        } else {
+            h % n
+        }) as usize
     }
 }
 
@@ -191,6 +213,47 @@ impl BandConfig {
 /// coincide with the seed hash or with each other.
 const SLOT_GAMMA: u64 = 0xb5ad_4ece_da1c_e2a9;
 const BAND_GAMMA: u64 = 0x2545_f491_4f6c_dd1d;
+
+/// The hashing core behind every band signature: the per-band hashes of
+/// the retained `(rank, key)` entries `entries`, which may come in **any
+/// order**. `slots` is the slot scratch (resized/cleared internally),
+/// `out` receives the per-band hashes, as in [`band_hashes`].
+///
+/// Each slot takes the key of its minimum `(rank, key)` entry. Over a
+/// sketch's rank-ordered entries that is the first key to claim the
+/// slot, so a finished sample ([`band_hashes_into`]) and a live
+/// [`BottomKStream`](monotone_coord::bottomk::BottomKStream)'s heap
+/// minus its threshold entry (its
+/// [`retained`](monotone_coord::bottomk::BottomKStream::retained)
+/// entries) hash to the same bits, and a shard can sign its streams
+/// without snapshotting them.
+pub fn band_hashes_ranked_into(
+    entries: impl IntoIterator<Item = (f64, u64)>,
+    cfg: &BandConfig,
+    slots: &mut Vec<Option<(f64, u64)>>,
+    out: &mut Vec<Option<u64>>,
+) {
+    slots.clear();
+    slots.resize(cfg.slots(), None);
+    for (rank, key) in entries {
+        let slot = &mut slots[cfg.slot(key)];
+        let wins = match *slot {
+            None => true,
+            Some((r, k)) => rank.total_cmp(&r).then(key.cmp(&k)).is_lt(),
+        };
+        if wins {
+            *slot = Some((rank, key));
+        }
+    }
+    out.clear();
+    out.extend((0..cfg.bands).map(|b| {
+        let mut h = splitmix64(cfg.salt ^ BAND_GAMMA);
+        for slot in &slots[b * cfg.rows..(b + 1) * cfg.rows] {
+            h = splitmix64(h ^ splitmix64((*slot)?.1 ^ SLOT_GAMMA));
+        }
+        Some(h)
+    }));
+}
 
 /// [`band_hashes`] into caller-provided buffers: `slots` is the slot
 /// scratch (resized/cleared internally), `out` receives the per-band
@@ -200,27 +263,10 @@ const BAND_GAMMA: u64 = 0x2545_f491_4f6c_dd1d;
 pub fn band_hashes_into(
     sketch: &BottomKSample,
     cfg: &BandConfig,
-    slots: &mut Vec<Option<u64>>,
+    slots: &mut Vec<Option<(f64, u64)>>,
     out: &mut Vec<Option<u64>>,
 ) {
-    slots.clear();
-    slots.resize(cfg.slots(), None);
-    // `iter()` yields retained entries in ascending rank order, so the
-    // first key to claim a slot is the slot's min-rank key.
-    for (key, _w) in sketch.iter() {
-        let s = cfg.slot(key);
-        if slots[s].is_none() {
-            slots[s] = Some(key);
-        }
-    }
-    out.clear();
-    out.extend((0..cfg.bands).map(|b| {
-        let mut h = splitmix64(cfg.salt ^ BAND_GAMMA);
-        for slot in &slots[b * cfg.rows..(b + 1) * cfg.rows] {
-            h = splitmix64(h ^ splitmix64((*slot)? ^ SLOT_GAMMA));
-        }
-        Some(h)
-    }));
+    band_hashes_ranked_into(sketch.ranked(), cfg, slots, out);
 }
 
 /// The per-band signature hashes of one sketch: entry `b` is the hash of
@@ -228,14 +274,46 @@ pub fn band_hashes_into(
 /// received no retained key (the band is non-indexable for this sketch).
 ///
 /// Slot values are the minimum-*rank* retained key per slot — the
-/// coordinated min-hash — obtained by walking the sketch in rank order,
-/// so two coordinated sketches agree on a slot exactly when the
-/// least-rank item of that key region is retained by both.
+/// coordinated min-hash — so two coordinated sketches agree on a slot
+/// exactly when the least-rank item of that key region is retained by
+/// both.
 pub fn band_hashes(sketch: &BottomKSample, cfg: &BandConfig) -> Vec<Option<u64>> {
     let mut slots = Vec::new();
     let mut out = Vec::new();
     band_hashes_into(sketch, cfg, &mut slots, &mut out);
     out
+}
+
+/// One instance's indexable band signature: its `(band, hash)` pairs,
+/// ascending by band, for the bands whose slots all filled.
+pub type Signature = Box<[(u32, u64)]>;
+
+/// Reused hashing scratch that turns retained `(rank, key)` entries into
+/// a [`Signature`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Signer {
+    slots: Vec<Option<(f64, u64)>>,
+    hashes: Vec<Option<u64>>,
+}
+
+impl Signer {
+    /// The signature of `entries` (any order) under `cfg`.
+    pub(crate) fn sign(
+        &mut self,
+        cfg: &BandConfig,
+        entries: impl IntoIterator<Item = (f64, u64)>,
+    ) -> Signature {
+        band_hashes_ranked_into(entries, cfg, &mut self.slots, &mut self.hashes);
+        // Sized exactly: one allocation per signature, no regrowth.
+        let mut sig = Vec::with_capacity(self.hashes.iter().flatten().count());
+        sig.extend(
+            self.hashes
+                .iter()
+                .enumerate()
+                .filter_map(|(band, hash)| hash.map(|h| (band as u32, h))),
+        );
+        sig.into_boxed_slice()
+    }
 }
 
 /// `splitmix64` as a [`Hasher`] for the index's `u64` table keys. Band
@@ -288,17 +366,6 @@ impl Bucket {
             Bucket::Many(ids) => ids.insert(ids.partition_point(|&y| y < id), id),
         }
     }
-
-    /// Takes in the ids of `other`, a bucket with no id in common.
-    fn absorb(&mut self, other: Bucket) {
-        let mut ids = match std::mem::replace(self, Bucket::One(0)) {
-            Bucket::One(x) => vec![x],
-            Bucket::Many(ids) => ids,
-        };
-        ids.extend_from_slice(other.ids());
-        ids.sort_unstable();
-        *self = Bucket::Many(ids);
-    }
 }
 
 /// Registers `id` under `hash` in one band's table.
@@ -332,6 +399,34 @@ fn unregister(table: &mut Table<Bucket>, hash: u64, id: u64) {
             }
         }
     }
+}
+
+/// The tables of bands `lo..hi`, filled from `sigs` (ascending by id):
+/// one bulk builder's share of the bands. A first pass counts each
+/// band's entries so every table is sized once.
+fn band_tables(sigs: &[(u64, Signature)], lo: usize, hi: usize) -> Vec<Table<Bucket>> {
+    // Each signature is ascending by band: the group is one sub-slice.
+    let group = |sig: &Signature| {
+        let from = sig.partition_point(|&(b, _)| (b as usize) < lo);
+        let to = sig.partition_point(|&(b, _)| (b as usize) < hi);
+        from..to
+    };
+    let mut counts = vec![0usize; hi - lo];
+    for (_, sig) in sigs {
+        for &(band, _) in &sig[group(sig)] {
+            counts[band as usize - lo] += 1;
+        }
+    }
+    let mut tables: Vec<Table<Bucket>> = counts
+        .into_iter()
+        .map(|n| Table::with_capacity_and_hasher(n, Default::default()))
+        .collect();
+    for (id, sig) in sigs {
+        for &(band, hash) in &sig[group(sig)] {
+            register(&mut tables[band as usize - lo], hash, *id);
+        }
+    }
+    tables
 }
 
 /// Fills `out` with the sorted, deduplicated union of `buckets` (each
@@ -390,10 +485,9 @@ pub struct BandIndex {
     buckets: Vec<Table<Bucket>>,
     /// id → the `(band, hash)` pairs it is registered under, ascending
     /// by band: the indexable part of its signature.
-    signatures: Table<Box<[(u32, u64)]>>,
+    signatures: Table<Signature>,
     /// Reused hashing scratch (never observable through the API).
-    slot_scratch: Vec<Option<u64>>,
-    band_scratch: Vec<Option<u64>>,
+    signer: Signer,
 }
 
 impl BandIndex {
@@ -403,8 +497,70 @@ impl BandIndex {
             cfg: Some(cfg),
             buckets: vec![Table::default(); cfg.bands()],
             signatures: Table::default(),
-            slot_scratch: Vec::new(),
-            band_scratch: Vec::new(),
+            signer: Signer::default(),
+        }
+    }
+
+    /// Builds an index from `(id, signature)` pairs in any order — the
+    /// one table builder behind every bulk index: equal to inserting
+    /// each id's sketch into [`BandIndex::new`] one by one, and
+    /// [`from_signatures_with`](BandIndex::from_signatures_with) under a
+    /// one-worker engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id repeats.
+    pub fn from_signatures(cfg: BandConfig, sigs: Vec<(u64, Signature)>) -> BandIndex {
+        BandIndex::from_signatures_with(cfg, sigs, &Engine::with_threads(1))
+    }
+
+    /// [`from_signatures`](BandIndex::from_signatures) with the band
+    /// tables filled across `engine`'s workers. The pairs are sorted by
+    /// id, each worker fills the tables of its own group of bands (each
+    /// table sized once from a count of its entries, every shared-bucket
+    /// insert an append), and the id → signature table takes the
+    /// signatures by move. The result is bit-identical at every worker
+    /// count.
+    ///
+    /// Each signature must be one this config produced: bands in range
+    /// and strictly ascending, as [`ShardBackend::band_signatures`]
+    /// returns them and [`BandIndex::decode`] checks them.
+    ///
+    /// [`ShardBackend::band_signatures`]: crate::ShardBackend::band_signatures
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id repeats.
+    pub fn from_signatures_with(
+        cfg: BandConfig,
+        mut sigs: Vec<(u64, Signature)>,
+        engine: &Engine,
+    ) -> BandIndex {
+        // Stable: shard lists arrive as ascending runs, which it merges.
+        sigs.sort_by_key(|&(id, _)| id);
+        if let Some(dup) = sigs.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!(
+                "signatures must hold disjoint ids (id {} duplicated)",
+                dup[0].0
+            );
+        }
+        debug_assert!(sigs.iter().all(|(_, sig)| {
+            sig.windows(2).all(|w| w[0].0 < w[1].0)
+                && sig.last().is_none_or(|&(b, _)| (b as usize) < cfg.bands())
+        }));
+        let groups = chunk_bounds(cfg.bands(), engine.threads());
+        let buckets = engine
+            .map_chunked(&groups, |_, &(lo, hi)| band_tables(&sigs, lo, hi))
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut signatures = Table::with_capacity_and_hasher(sigs.len(), Default::default());
+        signatures.extend(sigs);
+        BandIndex {
+            cfg: Some(cfg),
+            buckets,
+            signatures,
+            signer: Signer::default(),
         }
     }
 
@@ -460,7 +616,8 @@ impl BandIndex {
     /// This is the live-maintenance primitive: an index updated on every
     /// sketch change stays identical to a from-scratch rebuild.
     pub fn insert(&mut self, id: u64, sketch: &BottomKSample) {
-        let new = self.signature_of(sketch);
+        let cfg = *self.config();
+        let new = self.signer.sign(&cfg, sketch.ranked());
         let buckets = &mut self.buckets;
         let slot = self.signatures.entry(id).or_default();
         let old = std::mem::replace(slot, new);
@@ -495,18 +652,6 @@ impl BandIndex {
         }
     }
 
-    /// The indexable `(band, hash)` pairs of `sketch` under this index's
-    /// config, ascending by band.
-    fn signature_of(&mut self, sketch: &BottomKSample) -> Box<[(u32, u64)]> {
-        let cfg = *self.config();
-        band_hashes_into(sketch, &cfg, &mut self.slot_scratch, &mut self.band_scratch);
-        self.band_scratch
-            .iter()
-            .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
-            .collect()
-    }
-
     /// Unregisters `id` entirely; returns whether it was present.
     pub fn remove(&mut self, id: u64) -> bool {
         match self.signatures.remove(&id) {
@@ -520,22 +665,20 @@ impl BandIndex {
         }
     }
 
-    /// Merges per-worker partial indexes (the parallel blocked build)
-    /// into one. The result is interchangeable with inserting every
-    /// instance into a single index: buckets and signatures are the
-    /// unions, and all sorted query outputs are bit-identical.
-    ///
-    /// Band by band, the merged table is sized once for every part's
-    /// buckets, and each part's table is moved in and freed before the
-    /// next band: buckets found in one part only move without
-    /// reallocating.
+    /// Merges partial indexes over disjoint ids (shard partials, say)
+    /// into one: their signatures are collected and handed to
+    /// [`from_signatures`](BandIndex::from_signatures), so the result is
+    /// the index of the union — buckets and signatures are the unions,
+    /// and all sorted query outputs are bit-identical to inserting every
+    /// instance into a single index. The parts' tables are dropped, not
+    /// moved.
     ///
     /// # Panics
     ///
     /// Panics if a part was built under a different `BandConfig`, or if
     /// two parts contain the same instance id (parts must partition the
     /// instances).
-    pub fn merged(cfg: BandConfig, mut parts: Vec<BandIndex>) -> BandIndex {
+    pub fn merged(cfg: BandConfig, parts: Vec<BandIndex>) -> BandIndex {
         for part in &parts {
             assert_eq!(
                 part.cfg,
@@ -543,31 +686,8 @@ impl BandIndex {
                 "merged parts must share one band config"
             );
         }
-        let mut out = BandIndex::new(cfg);
-        out.signatures
-            .reserve(parts.iter().map(BandIndex::len).sum());
-        for part in &mut parts {
-            for (id, sig) in std::mem::take(&mut part.signatures) {
-                assert!(
-                    out.signatures.insert(id, sig).is_none(),
-                    "merged parts must hold disjoint ids (id {id} duplicated)"
-                );
-            }
-        }
-        for (band, table) in out.buckets.iter_mut().enumerate() {
-            table.reserve(parts.iter().map(|p| p.buckets[band].len()).sum());
-            for part in &mut parts {
-                for (hash, bucket) in std::mem::take(&mut part.buckets[band]) {
-                    match table.entry(hash) {
-                        Entry::Vacant(e) => {
-                            e.insert(bucket);
-                        }
-                        Entry::Occupied(mut e) => e.get_mut().absorb(bucket),
-                    }
-                }
-            }
-        }
-        out
+        let sigs = parts.into_iter().flat_map(|part| part.signatures).collect();
+        BandIndex::from_signatures(cfg, sigs)
     }
 
     /// The sorted, deduplicated ids whose signature shares at least one
@@ -575,12 +695,7 @@ impl BandIndex {
     /// inserted. An all-empty signature (a sketch too sparse to fill any
     /// band) has no candidates.
     pub fn candidates_of(&self, sketch: &BottomKSample) -> Vec<u64> {
-        let cfg = *self.config();
-        let sig: Vec<(u32, u64)> = band_hashes(sketch, &cfg)
-            .into_iter()
-            .enumerate()
-            .filter_map(|(band, hash)| hash.map(|h| (band as u32, h)))
-            .collect();
+        let sig = Signer::default().sign(self.config(), sketch.ranked());
         self.candidates_of_signature(&sig)
     }
 
@@ -684,43 +799,49 @@ impl BandIndex {
     /// and the per-id signatures travel, ascending by id; the bucket
     /// tables are derived state and are rebuilt on decode, so sender and
     /// receiver cannot disagree about bucket contents.
-    pub fn encode_into(&self, out: &mut monotone_coord::wire::Enc) {
-        let cfg = self.config();
-        out.put_u8(WIRE_VERSION);
-        out.put_len(cfg.bands());
-        out.put_len(cfg.rows());
-        out.put_u64(cfg.salt());
-        out.put_len(self.signatures.len());
-        for (id, sig) in self.by_id() {
-            out.put_u64(id);
-            out.put_len(sig.len());
-            for &(band, hash) in sig {
-                out.put_u32(band);
-                out.put_u64(hash);
-            }
-        }
+    pub fn encode_into(&self, out: &mut Enc) {
+        encode_signatures(self.config(), &self.by_id(), out);
     }
 
-    /// Decodes one index from `dec`, re-registering every id under its
-    /// signature. The result is interchangeable with the encoded index:
-    /// signatures are bit-identical and every sorted query output
-    /// matches. Capacity reserved from a wire count is bounded by the
-    /// bytes actually left to decode.
+    /// Decodes one index from `dec`: its signatures, then
+    /// [`from_signatures`](BandIndex::from_signatures). The result is
+    /// interchangeable with the encoded index: signatures are
+    /// bit-identical and every sorted query output matches.
     ///
     /// # Errors
     ///
     /// [`monotone_core::Error::Encoding`] on truncation, an unknown
-    /// version, or a signature violating the index invariants (bands out
-    /// of range or not strictly ascending).
-    pub fn decode(dec: &mut monotone_coord::wire::Dec<'_>) -> monotone_core::Result<BandIndex> {
-        use monotone_core::Error;
+    /// version, a config past [`MAX_WIRE_SLOTS`], a repeated id, or a
+    /// signature violating the index invariants (bands out of range or
+    /// not strictly ascending).
+    pub fn decode(dec: &mut Dec<'_>) -> monotone_core::Result<BandIndex> {
+        let (cfg, sigs) = decode_signatures(dec)?;
+        Ok(BandIndex::from_signatures(cfg, sigs))
+    }
+}
 
-        let version = dec.take_u8()?;
-        if version != WIRE_VERSION {
-            return Err(Error::Encoding(format!(
-                "unknown BandIndex wire version {version}"
-            )));
-        }
+/// Plausibility cap on the `bands · rows` slots of a config read from the
+/// wire. A decoded config allocates one table per band, and a hashing
+/// scratch of one entry per slot, before any signature arrives — and an
+/// empty index is legitimately tiny, so no byte count bounds them.
+/// Every config in this repository has at most 24 bands of 3 rows.
+pub const MAX_WIRE_SLOTS: usize = 1 << 16;
+
+impl BandConfig {
+    /// Appends `bands`, `rows` and `salt` to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Enc) {
+        out.put_len(self.bands);
+        out.put_len(self.rows);
+        out.put_u64(self.salt);
+    }
+
+    /// Reads a config written by [`encode_into`](BandConfig::encode_into).
+    ///
+    /// # Errors
+    ///
+    /// [`monotone_core::Error::Encoding`] on truncation, a zero band or
+    /// row count, or more than [`MAX_WIRE_SLOTS`] slots.
+    pub(crate) fn decode(dec: &mut Dec<'_>) -> monotone_core::Result<BandConfig> {
         let bands = dec.take_len()?;
         let rows = dec.take_len()?;
         let salt = dec.take_u64()?;
@@ -729,45 +850,91 @@ impl BandIndex {
                 "degenerate band config {bands}x{rows}"
             )));
         }
-        let mut index = BandIndex::new(BandConfig::new(bands, rows, salt));
-        let n = dec.take_len()?;
-        // Each id costs at least its id and signature length on the wire.
-        index.signatures.reserve(n.min(dec.remaining() / 16));
-        for _ in 0..n {
-            let id = dec.take_u64()?;
-            let sig_len = dec.take_len()?;
-            if sig_len > bands {
-                return Err(Error::Encoding(format!(
-                    "signature of {sig_len} bands exceeds the {bands}-band config"
-                )));
-            }
-            // Each entry is a u32 band and a u64 hash.
-            let mut sig = Vec::with_capacity(sig_len.min(dec.remaining() / 12));
-            for _ in 0..sig_len {
-                let band = dec.take_u32()?;
-                let hash = dec.take_u64()?;
-                if band as usize >= bands {
-                    return Err(Error::Encoding(format!("band {band} out of range")));
-                }
-                if let Some(&(prev, _)) = sig.last() {
-                    if band <= prev {
-                        return Err(Error::Encoding(
-                            "signature bands not strictly ascending".to_owned(),
-                        ));
-                    }
-                }
-                sig.push((band, hash));
-            }
-            let Entry::Vacant(slot) = index.signatures.entry(id) else {
-                return Err(Error::Encoding(format!("id {id} encoded twice")));
-            };
-            for &(band, hash) in &sig {
-                register(&mut index.buckets[band as usize], hash, id);
-            }
-            slot.insert(sig.into());
+        if bands.checked_mul(rows).is_none_or(|n| n > MAX_WIRE_SLOTS) {
+            return Err(Error::Encoding(format!(
+                "band config {bands}x{rows} exceeds the {MAX_WIRE_SLOTS}-slot cap"
+            )));
         }
-        Ok(index)
+        Ok(BandConfig::new(bands, rows, salt))
     }
+}
+
+/// Appends the [`BandIndex`] wire form of `sigs` (ascending by id) under
+/// `cfg` to `out`: what a shard ships for its build, byte-identical to
+/// encoding the index the signatures build.
+pub(crate) fn encode_signatures<S: AsRef<[(u32, u64)]>>(
+    cfg: &BandConfig,
+    sigs: &[(u64, S)],
+    out: &mut Enc,
+) {
+    out.put_u8(WIRE_VERSION);
+    cfg.encode_into(out);
+    out.put_len(sigs.len());
+    for (id, sig) in sigs {
+        let sig = sig.as_ref();
+        out.put_u64(*id);
+        out.put_len(sig.len());
+        for &(band, hash) in sig {
+            out.put_u32(band);
+            out.put_u64(hash);
+        }
+    }
+}
+
+/// Decodes a [`BandIndex`] wire payload into its config and its
+/// `(id, signature)` pairs, ascending by id, without building tables.
+/// Capacity reserved from a wire count is bounded by the bytes actually
+/// left to decode.
+///
+/// # Errors
+///
+/// As [`BandIndex::decode`].
+pub(crate) fn decode_signatures(
+    dec: &mut Dec<'_>,
+) -> monotone_core::Result<(BandConfig, Vec<(u64, Signature)>)> {
+    let version = dec.take_u8()?;
+    if version != WIRE_VERSION {
+        return Err(Error::Encoding(format!(
+            "unknown BandIndex wire version {version}"
+        )));
+    }
+    let cfg = BandConfig::decode(dec)?;
+    let n = dec.take_len()?;
+    // Each id costs at least its id and signature length on the wire.
+    let mut sigs = Vec::with_capacity(n.min(dec.remaining() / 16));
+    for _ in 0..n {
+        let id = dec.take_u64()?;
+        let sig_len = dec.take_len()?;
+        if sig_len > cfg.bands() {
+            return Err(Error::Encoding(format!(
+                "signature of {sig_len} bands exceeds the {}-band config",
+                cfg.bands()
+            )));
+        }
+        // Each entry is a u32 band and a u64 hash.
+        let mut sig = Vec::with_capacity(sig_len.min(dec.remaining() / 12));
+        for _ in 0..sig_len {
+            let band = dec.take_u32()?;
+            let hash = dec.take_u64()?;
+            if band as usize >= cfg.bands() {
+                return Err(Error::Encoding(format!("band {band} out of range")));
+            }
+            if let Some(&(prev, _)) = sig.last() {
+                if band <= prev {
+                    return Err(Error::Encoding(
+                        "signature bands not strictly ascending".to_owned(),
+                    ));
+                }
+            }
+            sig.push((band, hash));
+        }
+        sigs.push((id, sig.into_boxed_slice()));
+    }
+    sigs.sort_by_key(|&(id, _)| id);
+    if let Some(dup) = sigs.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(Error::Encoding(format!("id {} encoded twice", dup[0].0)));
+    }
+    Ok((cfg, sigs))
 }
 
 /// Version byte leading every [`BandIndex`] wire payload. Bump on any
@@ -1140,6 +1307,64 @@ mod tests {
         forged.put_len(1 << 48);
         let forged = forged.into_bytes();
         assert!(BandIndex::decode(&mut Dec::new(&forged)).is_err());
+    }
+
+    /// Regression: a decoded config used to allocate one table per
+    /// wire-declared band before reading any id, so a forged band count
+    /// aborted the process on the allocation. It is now an `Err`.
+    #[test]
+    fn wire_decode_rejects_a_forged_band_count() {
+        use monotone_coord::wire::{Dec, Enc};
+
+        for (bands, rows) in [(1usize << 40, 1usize), (1, 1 << 40), (1 << 24, 1 << 24)] {
+            let mut forged = Enc::new();
+            forged.put_u8(WIRE_VERSION);
+            forged.put_len(bands);
+            forged.put_len(rows);
+            forged.put_u64(3);
+            forged.put_len(0);
+            let forged = forged.into_bytes();
+            let err = BandIndex::decode(&mut Dec::new(&forged)).unwrap_err();
+            assert!(
+                err.to_string().contains("slot cap"),
+                "{bands}x{rows}: {err}"
+            );
+        }
+        // The cap itself decodes.
+        let cfg = BandConfig::new(MAX_WIRE_SLOTS / 2, 2, 3);
+        let mut enc = Enc::new();
+        BandIndex::new(cfg).encode_into(&mut enc);
+        let bytes = enc.into_bytes();
+        assert_eq!(
+            BandIndex::decode(&mut Dec::new(&bytes)).unwrap().config(),
+            &cfg
+        );
+    }
+
+    #[test]
+    fn from_signatures_equals_inserting_at_any_worker_count() {
+        let cfg = BandConfig::new(12, 2, 5);
+        let sketches: Vec<(u64, BottomKSample)> = (0..40u64)
+            .map(|id| (id, sketch(24, 9, id * 15..id * 15 + 40)))
+            .collect();
+        let mut reference = BandIndex::new(cfg);
+        for (id, s) in sketches.iter().rev() {
+            reference.insert(*id, s);
+        }
+        let sigs: Vec<(u64, Signature)> = sketches
+            .iter()
+            .rev()
+            .map(|(id, _)| (*id, reference.signature(*id).unwrap().into()))
+            .collect();
+        for workers in [1usize, 2, 3, 12, 16] {
+            let built =
+                BandIndex::from_signatures_with(cfg, sigs.clone(), &Engine::with_threads(workers));
+            assert_eq!(built.candidate_pairs(), reference.candidate_pairs());
+            for (id, _) in &sketches {
+                assert_eq!(built.signature(*id), reference.signature(*id));
+                assert_eq!(built.candidates_of_id(*id), reference.candidates_of_id(*id));
+            }
+        }
     }
 
     #[test]

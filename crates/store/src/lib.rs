@@ -25,9 +25,12 @@
 //! * **sketch fetch** — batched per backend ([`ShardBackend::sketches`]),
 //!   one call per shard per query batch;
 //! * **band-index builds** — each backend hashes *its own* residents
-//!   into a partial [`banding::BandIndex`]
-//!   ([`ShardBackend::band_partial`]), and the router unions the
-//!   partials with the deterministic [`banding::BandIndex::merged`];
+//!   into `(id, signature)` lists ([`ShardBackend::band_signatures`]),
+//!   and the router builds one [`banding::BandIndex`] from their
+//!   concatenation, each engine worker filling a group of bands
+//!   ([`banding::BandIndex::from_signatures_with`]) — a signature is a
+//!   pure function of one sketch, so no shard-level index is ever
+//!   built or merged;
 //! * **live similarity** — each shard maintains its own live index
 //!   under ingest/evict, and
 //!   [`SketchStore::live_candidates_of`] *gathers*: it fetches the
@@ -509,18 +512,17 @@ impl SketchStore {
     }
 
     /// Builds a [`banding::BandIndex`] over every resident sketch — the
-    /// candidate stage of an all-pairs similarity join. Each shard
-    /// builds a partial over its own residents under `cfg` and the
-    /// partials are merged in shard order; the result is identical for
-    /// every shard count, process count, and ingest order (the index's
-    /// determinism guarantee), so it can feed byte-reproducible
-    /// pipelines directly.
+    /// candidate stage of an all-pairs similarity join. Each shard signs
+    /// its own residents under `cfg` and one index is built from all
+    /// the signatures; the result is identical for every shard count,
+    /// process count, and ingest order (the index's determinism
+    /// guarantee), so it can feed byte-reproducible pipelines directly.
     ///
-    /// **Single-threaded convenience**: shard partials are built one
-    /// after another on the calling thread (equivalent to
+    /// **Single-threaded convenience**: shards are signed one after
+    /// another and the tables filled on the calling thread (equivalent to
     /// [`SketchStore::band_index_with`] under a 1-worker engine).
     /// Builds over many resident sketches should pass their engine to
-    /// [`SketchStore::band_index_with`] and fan the per-shard builds
+    /// [`SketchStore::band_index_with`] and fan the shards and the bands
     /// over its worker pool — the result is bit-identical, only the
     /// wall clock differs. Audited call sites (the `allpairs` scenario,
     /// live-index enablement) either run the parallel path explicitly
@@ -534,18 +536,20 @@ impl SketchStore {
         self.band_index_with(cfg, &Engine::with_threads(1))
     }
 
-    /// The parallel [`SketchStore::band_index`] build: per-shard
-    /// partial indexes are built across `engine`'s worker pool (each
-    /// shard snapshots its sketches under its lock — a cheap stream
-    /// clone, no hashing inside the critical section — and hashes after
-    /// release; a process shard hashes entirely inside its worker and
-    /// ships only the finished partial) and merged in shard order. The
-    /// result is **bit-identical for every worker count and every
-    /// backend kind** — [`banding::BandIndex`] outputs are
-    /// insertion-order invariant and [`banding::BandIndex::merged`]
-    /// unions are exact — so parallelism and distribution are purely
-    /// wall-clock levers. Concurrent `ingest` never stalls behind a
-    /// resident build.
+    /// The parallel [`SketchStore::band_index`] build, signatures
+    /// first and tables once. The shards are signed across `engine`'s
+    /// workers ([`ShardBackend::band_signatures`]: a local shard hashes
+    /// straight off its live streams under its lock, in chunks of about
+    /// 10³ ids; a process shard hashes inside its worker and ships only
+    /// the signatures). The lists are concatenated and
+    /// [`banding::BandIndex::from_signatures_with`] fills the band
+    /// tables, each worker owning a group of bands. The result is
+    /// **bit-identical for every worker count and every backend kind** —
+    /// a signature is a pure function of one sketch and the tables are
+    /// insertion-order invariant — so parallelism and distribution are
+    /// purely wall-clock levers. A concurrent `ingest` waits for at most
+    /// one hashing chunk of its shard, never for the whole build; each
+    /// chunk sees its shard as it is then.
     ///
     /// # Errors
     ///
@@ -556,17 +560,17 @@ impl SketchStore {
         engine: &Engine,
     ) -> Result<banding::BandIndex> {
         let bounds = chunk_bounds(self.backends.len(), engine.threads());
-        let parts = engine.map_chunked(&bounds, |_, &(lo, hi)| {
+        let chunks = engine.map_chunked(&bounds, |_, &(lo, hi)| {
             self.backends[lo..hi]
                 .iter()
-                .map(|backend| backend.band_partial(cfg))
+                .map(|backend| backend.band_signatures(cfg))
                 .collect::<Result<Vec<_>>>()
         });
-        let mut partials = Vec::with_capacity(self.backends.len());
-        for chunk in parts {
-            partials.extend(chunk?);
+        let mut sigs = Vec::new();
+        for chunk in chunks {
+            sigs.extend(chunk?.into_iter().flatten());
         }
-        Ok(banding::BandIndex::merged(*cfg, partials))
+        Ok(banding::BandIndex::from_signatures_with(*cfg, sigs, engine))
     }
 
     /// The live answer to "which resident instances could be similar to
@@ -763,52 +767,74 @@ mod tests {
 
     /// Regression: `band_index` used to hold each shard's mutex across
     /// per-sketch band hashing, so a large resident build stalled every
-    /// concurrent `ingest` for its full duration. A shard's partial
-    /// build snapshots under the lock and hashes after release — ingest
-    /// from a second thread must make progress *while* the build runs.
+    /// concurrent `ingest` for its full duration. A shard now signs its
+    /// streams under its lock in chunks of ids, ascending, and hands the
+    /// lock to blocked callers between chunks — writes must land
+    /// *between* chunks of one shard's hashing.
+    ///
+    /// The observable: a second thread alternately evicts a low id and a
+    /// high id (0, N−1, 1, N−2, …) and ingests a fresh instance while
+    /// the build runs. If the shard were signed under one lock
+    /// acquisition, the ids missing from the index would be a prefix of
+    /// that eviction sequence, so no more high ids than low ids could be
+    /// missing. Interleaved chunks sign the low ids early (before their
+    /// eviction) and the high ids late (after theirs), so more high ids
+    /// go missing.
     #[test]
     fn ingest_proceeds_while_a_large_build_runs() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        // One shard on purpose: with the old code the single shard lock
-        // is held for the whole hash loop and ingest can only run
-        // before or after the build, never during.
-        let store = Arc::new(SketchStore::with_shards(16, 13, 1));
-        for id in 0..30_000u64 {
-            store.ingest(id, id * 3, 1.0).unwrap();
-            store.ingest(id, id * 3 + 1, 2.0).unwrap();
-        }
-        let build_started = Arc::new(AtomicBool::new(false));
-        let build_done = Arc::new(AtomicBool::new(false));
-        let builder = {
-            let store = Arc::clone(&store);
-            let (build_started, build_done) = (Arc::clone(&build_started), Arc::clone(&build_done));
-            std::thread::spawn(move || {
-                build_started.store(true, Ordering::SeqCst);
-                let index = store
-                    .band_index(&banding::BandConfig::new(8, 2, 5))
-                    .unwrap();
-                build_done.store(true, Ordering::SeqCst);
-                index
-            })
-        };
-        while !build_started.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        // Count only ingests that both start after the builder signalled
-        // its start and complete before it signals its end.
-        let mut during = 0u64;
-        let mut key = 0u64;
-        while !build_done.load(Ordering::SeqCst) {
-            store.ingest(1_000_000, key, 1.0).unwrap();
-            key += 1;
-            if !build_done.load(Ordering::SeqCst) {
-                during += 1;
+        const N: u64 = 30_000;
+        let interleaved = |attempt: u64| {
+            // One shard on purpose: all ids share one lock.
+            let store = Arc::new(SketchStore::with_shards(16, 13 + attempt, 1));
+            for id in 0..N {
+                store.ingest(id, id * 3, 1.0).unwrap();
+                store.ingest(id, id * 3 + 1, 2.0).unwrap();
             }
-        }
-        let index = builder.join().expect("builder thread");
-        assert!(index.len() >= 30_000);
-        assert!(during > 0, "ingest made no progress during the build");
+            let build_started = Arc::new(AtomicBool::new(false));
+            let build_done = Arc::new(AtomicBool::new(false));
+            let builder = {
+                let store = Arc::clone(&store);
+                let (started, done) = (Arc::clone(&build_started), Arc::clone(&build_done));
+                std::thread::spawn(move || {
+                    started.store(true, Ordering::SeqCst);
+                    let index = store
+                        .band_index(&banding::BandConfig::new(8, 2, 5))
+                        .unwrap();
+                    done.store(true, Ordering::SeqCst);
+                    index
+                })
+            };
+            while !build_started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let mut evicted = 0u64;
+            while !build_done.load(Ordering::SeqCst) {
+                store.ingest(N + 1_000_000, evicted, 1.0).unwrap();
+                if evicted < N / 2 {
+                    store.evict(evicted).unwrap();
+                    store.evict(N - 1 - evicted).unwrap();
+                    evicted += 1;
+                }
+            }
+            let index = builder.join().expect("builder thread");
+            let missing = |ids: &mut dyn Iterator<Item = u64>| {
+                ids.filter(|&id| index.signature(id).is_none()).count()
+            };
+            let low = missing(&mut (0..evicted));
+            let high = missing(&mut (0..evicted).map(|i| N - 1 - i));
+            // Ids never evicted are all indexed.
+            let indexed = index.ids().filter(|&id| id < N).count();
+            assert_eq!(indexed + low + high, N as usize);
+            high > low
+        };
+        // Scheduling decides how many writes land mid-build; a build that
+        // holds the lock throughout can never pass.
+        assert!(
+            (0..5).any(interleaved),
+            "no write landed between two chunks of one shard's hashing"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use monotone_coord::bottomk::BottomKSample;
 use monotone_coord::wire::{Dec, Enc};
 use monotone_core::{Error, Result};
 
-use crate::banding::{BandConfig, BandIndex};
+use crate::banding::{decode_signatures, encode_signatures, BandConfig, BandIndex, Signature};
 use crate::proto::{
     read_frame, write_frame, MAX_FRAME, OP_BAND_PARTIAL, OP_ENABLE_LIVE, OP_EVICT, OP_HELLO,
     OP_INGEST, OP_INGEST_ALL, OP_LEN, OP_LIVE_CANDIDATES, OP_LIVE_PARTIAL, OP_LIVE_SIGNATURE,
@@ -228,22 +228,40 @@ impl Drop for ProcessShard {
     }
 }
 
-fn encode_cfg(out: &mut Enc, cfg: &BandConfig) {
-    out.put_len(cfg.bands());
-    out.put_len(cfg.rows());
-    out.put_u64(cfg.salt());
+/// Reads a wire count, then that many items of at least `entry_bytes`
+/// bytes each. The reservation is capped at what the bytes left can
+/// hold, so a forged count fails on the missing items instead of
+/// aborting on the allocation.
+fn take_seq<'a, T>(
+    dec: &mut Dec<'a>,
+    entry_bytes: usize,
+    mut take: impl FnMut(&mut Dec<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = dec.take_len()?;
+    let mut out = Vec::with_capacity(n.min(dec.remaining() / entry_bytes));
+    for _ in 0..n {
+        out.push(take(dec)?);
+    }
+    Ok(out)
 }
 
-fn decode_cfg(dec: &mut Dec<'_>) -> Result<BandConfig> {
-    let bands = dec.take_len()?;
-    let rows = dec.take_len()?;
-    let salt = dec.take_u64()?;
-    if bands == 0 || rows == 0 {
-        return Err(Error::Encoding(format!(
-            "degenerate band config {bands}x{rows}"
-        )));
+/// A counted list of ids: 8 bytes each on the wire.
+fn take_ids(dec: &mut Dec<'_>) -> Result<Vec<u64>> {
+    take_seq(dec, 8, Dec::take_u64)
+}
+
+/// One `(band, hash)` signature entry: 12 bytes on the wire.
+fn take_sig_entry(dec: &mut Dec<'_>) -> Result<(u32, u64)> {
+    Ok((dec.take_u32()?, dec.take_u64()?))
+}
+
+/// The body of a live-signature reply.
+fn decode_live_signature(dec: &mut Dec<'_>) -> Result<Option<Vec<(u32, u64)>>> {
+    match dec.take_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(take_seq(dec, 12, take_sig_entry)?)),
+        t => Err(Error::Encoding(format!("bad presence flag {t}"))),
     }
-    Ok(BandConfig::new(bands, rows, salt))
 }
 
 impl ShardBackend for ProcessShard {
@@ -322,16 +340,21 @@ impl ShardBackend for ProcessShard {
         .map_err(|e| self.garbled(e))
     }
 
-    fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
+    fn band_signatures(&self, cfg: &BandConfig) -> Result<Vec<(u64, Signature)>> {
         let mut req = Enc::with_capacity(32);
         req.put_u8(OP_BAND_PARTIAL);
-        encode_cfg(&mut req, cfg);
+        cfg.encode_into(&mut req);
         let body = self.request(req.into_bytes())?;
         let mut dec = Dec::new(&body);
-        (|| -> Result<BandIndex> {
-            let index = BandIndex::decode(&mut dec)?;
+        (|| -> Result<Vec<(u64, Signature)>> {
+            let (got, sigs) = decode_signatures(&mut dec)?;
             dec.finish()?;
-            Ok(index)
+            if got != *cfg {
+                return Err(Error::Encoding(format!(
+                    "signatures for {got:?}, asked for {cfg:?}"
+                )));
+            }
+            Ok(sigs)
         })()
         .map_err(|e| self.garbled(e))
     }
@@ -339,7 +362,7 @@ impl ShardBackend for ProcessShard {
     fn enable_live_index(&self, cfg: &BandConfig) -> Result<()> {
         let mut req = Enc::with_capacity(32);
         req.put_u8(OP_ENABLE_LIVE);
-        encode_cfg(&mut req, cfg);
+        cfg.encode_into(&mut req);
         let body = self.request(req.into_bytes())?;
         self.expect_empty(body)
     }
@@ -364,20 +387,7 @@ impl ShardBackend for ProcessShard {
         let body = self.request(req.into_bytes())?;
         let mut dec = Dec::new(&body);
         (|| -> Result<Option<Vec<(u32, u64)>>> {
-            let out = match dec.take_u8()? {
-                0 => None,
-                1 => {
-                    let n = dec.take_len()?;
-                    let mut sig = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let band = dec.take_u32()?;
-                        let hash = dec.take_u64()?;
-                        sig.push((band, hash));
-                    }
-                    Some(sig)
-                }
-                t => return Err(Error::Encoding(format!("bad presence flag {t}"))),
-            };
+            let out = decode_live_signature(&mut dec)?;
             dec.finish()?;
             Ok(out)
         })()
@@ -395,11 +405,7 @@ impl ShardBackend for ProcessShard {
         let body = self.request(req.into_bytes())?;
         let mut dec = Dec::new(&body);
         (|| -> Result<Vec<u64>> {
-            let n = dec.take_len()?;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(dec.take_u64()?);
-            }
+            let out = take_ids(&mut dec)?;
             dec.finish()?;
             Ok(out)
         })()
@@ -524,13 +530,7 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
         }
         OP_INGEST_ALL => {
             let instance = dec.take_u64()?;
-            let n = dec.take_len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = dec.take_u64()?;
-                let w = dec.take_f64()?;
-                items.push((key, w));
-            }
+            let items = take_seq(&mut dec, 16, |dec| Ok((dec.take_u64()?, dec.take_f64()?)))?;
             dec.finish()?;
             shard.ingest_all(instance, &items)?;
         }
@@ -544,11 +544,7 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
             out.put_len(shard.len()?);
         }
         OP_SKETCHES => {
-            let n = dec.take_len()?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(dec.take_u64()?);
-            }
+            let ids = take_ids(&mut dec)?;
             dec.finish()?;
             for sketch in shard.sketches(&ids)? {
                 match sketch {
@@ -561,12 +557,12 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
             }
         }
         OP_BAND_PARTIAL => {
-            let cfg = decode_cfg(&mut dec)?;
+            let cfg = BandConfig::decode(&mut dec)?;
             dec.finish()?;
-            shard.band_partial(&cfg)?.encode_into(&mut out);
+            encode_signatures(&cfg, &shard.band_signatures(&cfg)?, &mut out);
         }
         OP_ENABLE_LIVE => {
-            let cfg = decode_cfg(&mut dec)?;
+            let cfg = BandConfig::decode(&mut dec)?;
             dec.finish()?;
             shard.enable_live_index(&cfg)?;
         }
@@ -590,13 +586,7 @@ fn try_dispatch(shard: &LocalShard, frame: &[u8]) -> Result<Vec<u8>> {
             }
         }
         OP_LIVE_CANDIDATES => {
-            let n = dec.take_len()?;
-            let mut sig = Vec::with_capacity(n);
-            for _ in 0..n {
-                let band = dec.take_u32()?;
-                let hash = dec.take_u64()?;
-                sig.push((band, hash));
-            }
+            let sig = take_seq(&mut dec, 12, take_sig_entry)?;
             dec.finish()?;
             let candidates = shard.live_candidates(&sig)?;
             out.put_len(candidates.len());
@@ -784,6 +774,44 @@ mod tests {
         assert_eq!(dec.take_len().unwrap(), 0);
         drop(sock); // EOF ends the session cleanly
         handle.join().expect("serve thread").expect("serve result");
+    }
+
+    /// A frame holding `head` then a forged count of 2⁴⁸ and no items.
+    fn forged_count(head: &[u8]) -> Vec<u8> {
+        let mut frame = head.to_vec();
+        frame.extend_from_slice(&(1u64 << 48).to_le_bytes());
+        frame
+    }
+
+    /// Regression: every wire-driven count used to be reserved up front,
+    /// so a forged count aborted the process on the allocation. Each
+    /// decoder now fails on the missing items instead.
+    #[test]
+    fn forged_counts_are_errors_not_aborts() {
+        let truncated = |e: Error| assert!(e.to_string().contains("truncated"), "{e}");
+
+        // Replies: live candidates, a live signature, band signatures.
+        truncated(take_ids(&mut Dec::new(&forged_count(&[]))).unwrap_err());
+        truncated(decode_live_signature(&mut Dec::new(&forged_count(&[1]))).unwrap_err());
+        let mut head = Enc::new();
+        head.put_u8(1); // BandIndex wire version
+        BandConfig::new(4, 1, 3).encode_into(&mut head);
+        let body = forged_count(&head.into_bytes());
+        truncated(decode_signatures(&mut Dec::new(&body)).unwrap_err());
+
+        // Requests: bulk ingest, sketch fetch, live candidates.
+        let shard = LocalShard::new(8, 1);
+        let mut ingest_all = vec![OP_INGEST_ALL];
+        ingest_all.extend_from_slice(&7u64.to_le_bytes());
+        for frame in [
+            forged_count(&ingest_all),
+            forged_count(&[OP_SKETCHES]),
+            forged_count(&[OP_LIVE_CANDIDATES]),
+        ] {
+            let resp = dispatch(&shard, &frame);
+            assert_eq!(resp[0], STATUS_ERR, "op {}", frame[0]);
+            assert!(String::from_utf8_lossy(&resp[1..]).contains("truncated"));
+        }
     }
 
     #[test]

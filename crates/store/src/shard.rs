@@ -8,9 +8,10 @@
 //! directly, and [`ProcessShard`](crate::remote::ProcessShard), the same
 //! shard code running in a spawned worker process behind a framed pipe
 //! protocol. Everything a backend serves is **mergeable state**: sketch
-//! snapshots ship whole, band-index builds return per-shard partials the
-//! router unions with [`BandIndex::merged`], and live-index probes
-//! return per-shard candidate lists the router gathers. That is the
+//! snapshots ship whole, band-index builds return per-shard signature
+//! lists the router concatenates into one table build
+//! ([`BandIndex::from_signatures_with`]), and live-index probes return
+//! per-shard candidate lists the router gathers. That is the
 //! paper's composability doing architectural work — because coordinated
 //! bottom-k sketches merge exactly, a backend never needs to see another
 //! backend's state, and new transports (real RPC, replication) slot in
@@ -23,13 +24,18 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use monotone_coord::bottomk::{BottomK, BottomKSample, BottomKStream, RankMethod};
 use monotone_coord::seed::SeedHasher;
 use monotone_core::{Error, Result};
 
-use crate::banding::{BandConfig, BandIndex};
+use crate::banding::{BandConfig, BandIndex, Signature, Signer};
+
+/// Ids a [`LocalShard`] signs per lock acquisition in a band build: a
+/// concurrent ingest waits for at most one such chunk.
+const SIGN_CHUNK: usize = 1024;
 
 /// One partition of a sketch store's resident state.
 ///
@@ -42,10 +48,13 @@ use crate::banding::{BandConfig, BandIndex};
 ///   [`ProcessShard`](crate::remote::ProcessShard) run literally the
 ///   same shard code, and sketch bytes cross process boundaries
 ///   bit-exactly.
-/// * **Mergeability** — [`band_partial`](ShardBackend::band_partial) and
-///   [`live_partial`](ShardBackend::live_partial) return indexes over
-///   *this shard's ids only*, so the router can union partials from
-///   disjoint shards with [`BandIndex::merged`].
+/// * **Mergeability** — [`band_signatures`](ShardBackend::band_signatures)
+///   and [`live_partial`](ShardBackend::live_partial) cover *this
+///   shard's ids only*. Band signatures are a pure function of one
+///   instance's retained entries — every sketch shares one seed hash —
+///   so the router builds the global index from the concatenated shard
+///   lists in one pass, and unions live partials from disjoint shards
+///   with [`BandIndex::merged`].
 /// * **Typed failure** — a backend that cannot serve (dead worker,
 ///   closed pipe) returns [`Error::ShardUnavailable`]; it never blocks
 ///   indefinitely.
@@ -102,15 +111,29 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// [`Error::ShardUnavailable`] when the backend cannot serve.
     fn sketches(&self, ids: &[u64]) -> Result<Vec<Option<BottomKSample>>>;
 
-    /// Builds a [`BandIndex`] partial over this shard's residents under
-    /// `cfg` — hashing runs shard-locally (inside the worker process,
-    /// for a remote shard) and only the finished partial ships. The
-    /// router merges partials with [`BandIndex::merged`].
+    /// The band signatures of this shard's residents under `cfg`,
+    /// ascending by id — hashing runs shard-locally (inside the worker
+    /// process, for a remote shard) and only the signatures ship, no
+    /// sketches and no tables. The router builds the global index from
+    /// every shard's list with [`BandIndex::from_signatures_with`].
     ///
     /// # Errors
     ///
     /// [`Error::ShardUnavailable`] when the backend cannot serve.
-    fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex>;
+    fn band_signatures(&self, cfg: &BandConfig) -> Result<Vec<(u64, Signature)>>;
+
+    /// A [`BandIndex`] over this shard's residents under `cfg`: its
+    /// [`band_signatures`](ShardBackend::band_signatures) through
+    /// [`BandIndex::from_signatures`]. Partials from disjoint shards
+    /// union with [`BandIndex::merged`] into the router's
+    /// [`band_index`](crate::SketchStore::band_index).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ShardUnavailable`] when the backend cannot serve.
+    fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
+        Ok(BandIndex::from_signatures(*cfg, self.band_signatures(cfg)?))
+    }
 
     /// Turns on shard-local live-index maintenance under `cfg`
     /// (replacing any previous live config), indexing already-resident
@@ -169,6 +192,9 @@ struct ShardState {
 pub struct LocalShard {
     sampler: BottomK,
     state: Mutex<ShardState>,
+    /// Callers blocked in [`LocalShard::lock`] right now: a band build
+    /// lets them in between its chunks.
+    waiting: AtomicUsize,
 }
 
 impl LocalShard {
@@ -182,11 +208,18 @@ impl LocalShard {
         LocalShard {
             sampler: BottomK::new(k, RankMethod::Priority, SeedHasher::new(salt)),
             state: Mutex::new(ShardState::default()),
+            waiting: AtomicUsize::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardState> {
-        self.state.lock().expect("unpoisoned shard state")
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        if let Ok(state) = self.state.try_lock() {
+            return state;
+        }
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let state = self.state.lock().expect("unpoisoned shard state");
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        state
     }
 }
 
@@ -251,36 +284,43 @@ impl ShardBackend for LocalShard {
             .collect())
     }
 
-    fn band_partial(&self, cfg: &BandConfig) -> Result<BandIndex> {
-        // Snapshot under the lock (a cheap stream clone — no hashing
-        // inside the critical section), hash after release, so
-        // concurrent ingest never stalls behind a resident build. The
-        // snapshot is owned, so each stream is consumed into its sample
-        // rather than cloned a second time.
-        let mut snaps: Vec<(u64, BottomKStream)> = {
-            let state = self.lock();
-            state
-                .sketches
-                .iter()
-                .map(|(&id, stream)| (id, stream.clone()))
-                .collect()
-        };
-        snaps.sort_unstable_by_key(|&(id, _)| id);
-        let mut part = BandIndex::new(*cfg);
-        for (id, stream) in snaps {
-            part.insert(id, &stream.into_sample());
+    /// Takes the id list under the lock, then signs the streams straight
+    /// off the heap in chunks of `SIGN_CHUNK` ids, one lock
+    /// acquisition each: no stream clone, no sample, no table. Between
+    /// chunks the lock goes to every caller already blocked on it —
+    /// without that handoff this thread would re-take the lock before a
+    /// woken caller could. Each chunk sees the shard as it is then: an id
+    /// evicted before its chunk is left out, an instance first ingested
+    /// after the list was taken is not in it.
+    fn band_signatures(&self, cfg: &BandConfig) -> Result<Vec<(u64, Signature)>> {
+        let mut ids: Vec<u64> = self.lock().sketches.keys().copied().collect();
+        ids.sort_unstable();
+        let mut signer = Signer::default();
+        let mut out = Vec::with_capacity(ids.len());
+        for chunk in ids.chunks(SIGN_CHUNK) {
+            {
+                let state = self.lock();
+                out.extend(chunk.iter().filter_map(|&id| {
+                    let stream = state.sketches.get(&id)?;
+                    Some((id, signer.sign(cfg, stream.retained())))
+                }));
+            }
+            while self.waiting.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now();
+            }
         }
-        Ok(part)
+        Ok(out)
     }
 
     fn enable_live_index(&self, cfg: &BandConfig) -> Result<()> {
         let mut state = self.lock();
-        let state = &mut *state;
-        let mut live = BandIndex::new(*cfg);
-        for (&id, stream) in &state.sketches {
-            live.insert(id, &stream.sample());
-        }
-        state.live = Some(live);
+        let mut signer = Signer::default();
+        let sigs = state
+            .sketches
+            .iter()
+            .map(|(&id, stream)| (id, signer.sign(cfg, stream.retained())))
+            .collect();
+        state.live = Some(BandIndex::from_signatures(*cfg, sigs));
         Ok(())
     }
 
