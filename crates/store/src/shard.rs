@@ -217,9 +217,11 @@ impl LocalShard {
             return state;
         }
         self.waiting.fetch_add(1, Ordering::SeqCst);
-        let state = self.state.lock().expect("unpoisoned shard state");
+        let state = self.state.lock();
+        // Leave the count even on a poisoned lock, or a build waiting
+        // for blocked callers would wait forever.
         self.waiting.fetch_sub(1, Ordering::SeqCst);
-        state
+        state.expect("unpoisoned shard state")
     }
 }
 
