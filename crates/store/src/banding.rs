@@ -811,9 +811,9 @@ impl BandIndex {
     /// # Errors
     ///
     /// [`monotone_core::Error::Encoding`] on truncation, an unknown
-    /// version, a config past [`MAX_WIRE_SLOTS`], a repeated id, or a
-    /// signature violating the index invariants (bands out of range or
-    /// not strictly ascending).
+    /// version, a config of more than 2¹⁶ `bands · rows` slots, a
+    /// repeated id, or a signature violating the index invariants
+    /// (bands out of range or not strictly ascending).
     pub fn decode(dec: &mut Dec<'_>) -> monotone_core::Result<BandIndex> {
         let (cfg, sigs) = decode_signatures(dec)?;
         Ok(BandIndex::from_signatures(cfg, sigs))
@@ -825,7 +825,7 @@ impl BandIndex {
 /// scratch of one entry per slot, before any signature arrives — and an
 /// empty index is legitimately tiny, so no byte count bounds them.
 /// Every config in this repository has at most 24 bands of 3 rows.
-pub const MAX_WIRE_SLOTS: usize = 1 << 16;
+pub(crate) const MAX_WIRE_SLOTS: usize = 1 << 16;
 
 impl BandConfig {
     /// Appends `bands`, `rows` and `salt` to `out`.
