@@ -197,15 +197,7 @@ impl BandConfig {
     /// The slot a key feeds, a pure function of `(salt, key)` — shared
     /// by every instance, which is what makes slot values comparable.
     fn slot(&self, key: u64) -> usize {
-        let h = splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA));
-        let n = self.slots() as u64;
-        // The same value as `h % n`, without a division when n is a
-        // power of two (as in the 16×2 join configs).
-        (if n.is_power_of_two() {
-            h & (n - 1)
-        } else {
-            h % n
-        }) as usize
+        (splitmix64(key ^ splitmix64(self.salt ^ SLOT_GAMMA)) % self.slots() as u64) as usize
     }
 }
 

@@ -26,6 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use monotone_coord::bottomk::{BottomK, BottomKSample, BottomKStream, RankMethod};
 use monotone_coord::seed::SeedHasher;
@@ -36,6 +37,11 @@ use crate::banding::{BandConfig, BandIndex, Signature, Signer};
 /// Ids a [`LocalShard`] signs per lock acquisition in a band build: a
 /// concurrent ingest waits for at most one such chunk.
 const SIGN_CHUNK: usize = 1024;
+
+/// Longest a band build waits between two chunks for blocked callers to
+/// take the shard lock, so a steady stream of writers cannot stall the
+/// build.
+const HANDOFF_MAX: Duration = Duration::from_millis(1);
 
 /// One partition of a sketch store's resident state.
 ///
@@ -218,8 +224,6 @@ impl LocalShard {
         }
         self.waiting.fetch_add(1, Ordering::SeqCst);
         let state = self.state.lock();
-        // Leave the count even on a poisoned lock, or a build waiting
-        // for blocked callers would wait forever.
         self.waiting.fetch_sub(1, Ordering::SeqCst);
         state.expect("unpoisoned shard state")
     }
@@ -287,11 +291,11 @@ impl ShardBackend for LocalShard {
     }
 
     /// Takes the id list under the lock, then signs the streams straight
-    /// off the heap in chunks of `SIGN_CHUNK` ids, one lock
-    /// acquisition each: no stream clone, no sample, no table. Between
-    /// chunks the lock goes to every caller already blocked on it —
-    /// without that handoff this thread would re-take the lock before a
-    /// woken caller could. Each chunk sees the shard as it is then: an id
+    /// off the heap in chunks of `SIGN_CHUNK` ids, one lock acquisition
+    /// each: no stream clone, no sample, no table. The lock is not fair —
+    /// this thread would re-take it before a woken caller could — so
+    /// between chunks it yields while callers are blocked, for at most
+    /// `HANDOFF_MAX`. Each chunk sees the shard as it is then: an id
     /// evicted before its chunk is left out, an instance first ingested
     /// after the list was taken is not in it.
     fn band_signatures(&self, cfg: &BandConfig) -> Result<Vec<(u64, Signature)>> {
@@ -307,7 +311,8 @@ impl ShardBackend for LocalShard {
                     Some((id, signer.sign(cfg, stream.retained())))
                 }));
             }
-            while self.waiting.load(Ordering::SeqCst) > 0 {
+            let released = Instant::now();
+            while self.waiting.load(Ordering::SeqCst) > 0 && released.elapsed() < HANDOFF_MAX {
                 std::thread::yield_now();
             }
         }
